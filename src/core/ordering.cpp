@@ -41,6 +41,7 @@ void OrderingRule::restore(Wave decided_wave, std::uint64_t delivered_count,
              "snapshot restore on a non-fresh ordering layer");
   decided_wave_ = decided_wave;
   next_wave_to_process_ = decided_wave + 1;
+  delivery_floor_ = gc_floor_after(decided_wave);
   delivered_vertices_.insert(delivered_ids.begin(), delivered_ids.end());
   delivered_count_ = delivered_count;
 #if DR_CONTRACTS_ENABLED
@@ -138,19 +139,28 @@ void OrderingRule::handle_wave(Wave w, ProcessId leader_process) {
   on_wave_outcome(w, true);
   order_vertices(leaders_stack);
 
-  if (gc_depth_rounds_ > 0) {
-    const Round decided_round = wave_round(decided_wave_, 1, rpw);
-    if (decided_round > gc_depth_rounds_ + 1) {
-      const Round floor = decided_round - gc_depth_rounds_;
-      builder_.apply_gc_floor(floor);
-      // The delivered-id set no longer needs entries below the floor: the
-      // traversal prunes that region wholesale.
-      for (auto it = delivered_vertices_.begin();
-           it != delivered_vertices_.end();) {
-        it = it->round < floor ? delivered_vertices_.erase(it) : std::next(it);
-      }
+  if (const Round floor = gc_floor_after(decided_wave_);
+      floor > delivery_floor_) {
+    delivery_floor_ = floor;
+    // The builder may hold its DAG floor lower for a lagging peer; that is
+    // node-local, so ordering follows this deterministic floor instead.
+    builder_.apply_gc_floor(floor);
+    // The delivered-id set no longer needs entries below the floor: the
+    // traversal prunes that region wholesale.
+    for (auto it = delivered_vertices_.begin();
+         it != delivered_vertices_.end();) {
+      it = it->round < floor ? delivered_vertices_.erase(it) : std::next(it);
     }
   }
+}
+
+Round OrderingRule::gc_floor_after(Wave w) const {
+  if (gc_depth_rounds_ == 0) return 0;
+  const Round decided_round =
+      wave_round(w, 1, builder_.options().rounds_per_wave);
+  return decided_round > gc_depth_rounds_ + 1
+             ? decided_round - gc_depth_rounds_
+             : 0;
 }
 
 void OrderingRule::order_vertices(
@@ -167,10 +177,12 @@ void OrderingRule::order_vertices(
     // Line 54: every vertex with a path from the leader, not yet delivered.
     // Genesis vertices (round 0) carry no payload and are skipped, as is
     // anything below the GC floor (compacted == delivered by the GC
-    // contract). Pruning at delivered vertices is sound because the
+    // contract) — the rider's floor, which every node derives from the same
+    // decided waves, not the DAG's, which a laggard holdback may keep lower
+    // on this node only. Pruning at delivered vertices is sound because the
     // delivered set is causally closed (ancestors of a delivered vertex
     // are delivered).
-    const Round floor = dag.compacted_floor();
+    const Round floor = std::max(dag.compacted_floor(), delivery_floor_);
     std::vector<VertexId> to_deliver = dag.causal_history(
         leader, [this, floor](VertexId id) {
           return id.round == 0 || id.round < floor ||

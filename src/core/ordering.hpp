@@ -193,6 +193,8 @@ class OrderingRule {
   /// vertex in the local DAG, if present.
   std::optional<dag::VertexId> wave_leader_vertex(Wave w, ProcessId leader) const;
   void order_vertices(std::vector<std::pair<Wave, dag::VertexId>>& leaders_stack);
+  /// The GC floor once wave w is decided: round(w, 1) - depth, or 0.
+  Round gc_floor_after(Wave w) const;
 
   dag::DagBuilder& builder_;
   coin::Coin& coin_;
@@ -210,6 +212,8 @@ class OrderingRule {
   std::uint64_t waves_evaluated_ = 0;
   bool processing_ = false;
   Round gc_depth_rounds_ = 0;  ///< 0 = GC disabled (the paper's semantics)
+  /// Rounds below this are never delivered (GC'd by the decided waves).
+  Round delivery_floor_ = 0;
   DR_CONTRACT_STATE(WaveCommitMonotone decide_monotone_;)
 };
 

@@ -93,6 +93,7 @@ void Sha256::reset() {
 }
 
 void Sha256::update(BytesView data) {
+  if (data.empty()) return;  // an empty view may carry a null pointer
   total_len_ += data.size();
   std::size_t off = 0;
   if (buf_len_ > 0) {
@@ -117,10 +118,15 @@ void Sha256::update(BytesView data) {
 
 Digest Sha256::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(BytesView{&pad, 1});
-  const std::uint8_t zero = 0;
-  while (buf_len_ != 56) update(BytesView{&zero, 1});
+  // update() leaves buf_len_ < 64, so the 0x80 marker always fits; the
+  // zero fill spills into one extra block when the length no longer does.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_.data() + buf_len_, 0, buf_.size() - buf_len_);
+    compress_(h_.data(), buf_.data(), 1);
+    buf_len_ = 0;
+  }
+  std::memset(buf_.data() + buf_len_, 0, 56 - buf_len_);
   std::uint8_t len_be[8];
   for (int i = 0; i < 8; ++i) {
     len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));

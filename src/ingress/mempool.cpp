@@ -1,20 +1,30 @@
 #include "ingress/mempool.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/assert.hpp"
 
 namespace dr::ingress {
 
-crypto::Digest tx_digest(const txpool::Transaction& tx) {
+crypto::Digest tx_digest(std::uint64_t id, BytesView payload) {
   // Codec-boundary hash (sanctioned in tools/daglint/sha256_allowlist.txt):
-  // the tx identity must be recomputable from a decoded block alone, so it
+  // the tx identity must be recomputable from a delivered block alone, so it
   // covers exactly the replay-stable fields — id and payload, never the
-  // server-stamped submit_time.
-  ByteWriter w(8 + tx.payload.size());
-  w.u64(tx.id);
-  w.raw(tx.payload);
-  return crypto::sha256(BytesView(w.bytes()));
+  // server-stamped submit_time. Every node hashes every tx itself; trusting
+  // a proposer-supplied digest would let a Byzantine proposer forge commits.
+  std::array<std::uint8_t, 8> le_id{};
+  for (std::size_t i = 0; i < le_id.size(); ++i) {
+    le_id[i] = static_cast<std::uint8_t>(id >> (8 * i));
+  }
+  crypto::Sha256 ctx;
+  ctx.update(BytesView(le_id));
+  ctx.update(payload);
+  return ctx.finish();
+}
+
+crypto::Digest tx_digest(const txpool::Transaction& tx) {
+  return tx_digest(tx.id, BytesView(tx.payload));
 }
 
 ShardedMempool::ShardedMempool(MempoolOptions opts) : opts_(opts) {
@@ -112,40 +122,92 @@ std::vector<txpool::Transaction> ShardedMempool::drain(std::size_t max_txs) {
   return out;
 }
 
-std::optional<TxOrigin> ShardedMempool::mark_committed(
-    const crypto::Digest& digest) {
-  Shard& shard = *shards_[shard_of(digest)];
-  std::lock_guard<std::mutex> lk(shard.mu);
+std::optional<TxOrigin> ShardedMempool::commit_locked(
+    Shard& shard, const crypto::Digest& digest, CommitTally& tally) {
   std::optional<TxOrigin> origin;
   if (auto it = shard.in_flight.find(digest); it != shard.in_flight.end()) {
     origin = it->second;
     shard.in_flight.erase(it);
-    in_flight_count_.fetch_sub(1, std::memory_order_relaxed);
+    ++tally.from_in_flight;
   } else if (auto p = shard.pending.find(digest); p != shard.pending.end()) {
     // Committed via a foreign node's block before this node proposed it;
     // the fifo entry goes stale and drain() skips it.
     origin = p->second.origin;
     shard.pending.erase(p);
-    pending_count_.fetch_sub(1, std::memory_order_relaxed);
+    ++tally.from_pending;
   }
   if (shard.committed.insert(digest).second) {
     shard.committed_ring.push_back(digest);
     if (shard.committed_ring.size() > committed_per_shard_) {
       shard.committed.erase(shard.committed_ring.front());
       shard.committed_ring.pop_front();
-      window_evictions_.fetch_add(1, std::memory_order_relaxed);
+      ++tally.evictions;
     }
   }
   if (origin.has_value() && origin->session_id != 0) {
-    committed_with_origin_.fetch_add(1, std::memory_order_relaxed);
+    ++tally.with_origin;
     return origin;
   }
-  committed_foreign_.fetch_add(1, std::memory_order_relaxed);
+  ++tally.foreign;
   return std::nullopt;
 }
 
-void ShardedMempool::restore_in_flight(const txpool::Transaction& tx) {
-  const crypto::Digest digest = tx_digest(tx);
+void ShardedMempool::apply(const CommitTally& tally) {
+  const auto add = [](auto& counter, auto delta) {
+    if (delta != 0) counter.fetch_add(delta, std::memory_order_relaxed);
+  };
+  const auto sub = [](auto& counter, auto delta) {
+    if (delta != 0) counter.fetch_sub(delta, std::memory_order_relaxed);
+  };
+  sub(in_flight_count_, tally.from_in_flight);
+  sub(pending_count_, tally.from_pending);
+  add(committed_with_origin_, tally.with_origin);
+  add(committed_foreign_, tally.foreign);
+  add(window_evictions_, tally.evictions);
+}
+
+std::vector<TxOrigin> ShardedMempool::mark_committed(
+    std::span<const crypto::Digest> digests) {
+  // Visit the digests grouped by shard, in block order within each shard:
+  // shards share no state, so this ends where marking them one by one in
+  // block order would, with one lock per touched shard instead of per tx.
+  std::vector<std::uint64_t> order(digests.size());
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    order[i] = std::uint64_t{shard_of(digests[i])} << 32 | i;
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<TxOrigin> owned(digests.size());  // session_id 0: not owned
+  CommitTally tally;
+  for (std::size_t k = 0; k < order.size();) {
+    const std::uint64_t shard_idx = order[k] >> 32;
+    Shard& shard = *shards_[shard_idx];
+    std::lock_guard<std::mutex> lk(shard.mu);
+    for (; k < order.size() && order[k] >> 32 == shard_idx; ++k) {
+      const auto i = static_cast<std::uint32_t>(order[k]);
+      if (auto origin = commit_locked(shard, digests[i], tally)) {
+        owned[i] = *origin;
+      }
+    }
+  }
+  apply(tally);
+  std::erase_if(owned, [](const TxOrigin& o) { return o.session_id == 0; });
+  return owned;
+}
+
+std::optional<TxOrigin> ShardedMempool::mark_committed(
+    const crypto::Digest& digest) {
+  Shard& shard = *shards_[shard_of(digest)];
+  CommitTally tally;
+  std::optional<TxOrigin> owned;
+  {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    owned = commit_locked(shard, digest, tally);
+  }
+  apply(tally);
+  return owned;
+}
+
+void ShardedMempool::restore_in_flight(const crypto::Digest& digest) {
   Shard& shard = *shards_[shard_of(digest)];
   std::lock_guard<std::mutex> lk(shard.mu);
   if (shard.committed.count(digest) != 0 ||

@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -31,7 +32,10 @@ namespace dr::ingress {
 /// Content address of one transaction: sha256(le64(id) || payload). Stable
 /// across resubmission (submit_time is server-stamped and excluded) and
 /// recomputable from a decoded block at every node, which is what lets
-/// deliver-side dedup and ack routing key on it.
+/// deliver-side dedup and ack routing key on it. The (id, payload) form
+/// streams le64(id) then the payload through one SHA-256 context, so a tx
+/// read in place from a block (txpool::BlockTxs) hashes without a copy.
+crypto::Digest tx_digest(std::uint64_t id, BytesView payload);
 crypto::Digest tx_digest(const txpool::Transaction& tx);
 
 /// Where a transaction came from, kept while it is pending/in-flight so the
@@ -94,22 +98,29 @@ class ShardedMempool {
   /// no longer proposable, origins retained for ack routing.
   std::vector<txpool::Transaction> drain(std::size_t max_txs);
 
-  /// Marks one delivered tx digest committed (node thread, a_deliver path):
-  /// drops it from pending/in-flight and records it in the bounded
-  /// recently-committed window. Returns the origin when this node owned the
-  /// submitting session (the ack path), nullopt for foreign or internal txs.
+  /// Marks a delivered block's tx digests committed (node thread, a_deliver
+  /// path): each leaves pending/in-flight and enters the bounded
+  /// recently-committed window. Takes each touched shard's lock once and
+  /// ends in the same state as marking the digests one by one in block
+  /// order. Returns, in block order, the origins of the txs whose submitting
+  /// session lives on this node (the ack path); foreign and internal txs
+  /// yield nothing.
+  std::vector<TxOrigin> mark_committed(std::span<const crypto::Digest> digests);
+  /// The one-digest case: the origin when this node owns the tx's session,
+  /// nullopt otherwise.
   std::optional<TxOrigin> mark_committed(const crypto::Digest& digest);
 
   /// Recovery seeding (node thread, during WAL replay setup): re-registers
-  /// a tx carried by a restored-but-not-yet-delivered own proposal, closing
-  /// the at-least-once race where a client resubmit after our restart was
-  /// re-accepted into a second block while the WAL'd proposal still held the
-  /// tx (double delivery). The restored entry sits in the in-flight set with
-  /// an empty origin — the pre-crash session is gone, so the eventual commit
-  /// ack is unroutable; the resubmitting client observes kDuplicatePending
-  /// now and kDuplicateCommitted once the replayed proposal delivers. No-op
-  /// if the digest is already pending, in-flight, or recently committed.
-  void restore_in_flight(const txpool::Transaction& tx);
+  /// the digest of a tx carried by a restored-but-not-yet-delivered own
+  /// proposal, closing the at-least-once race where a client resubmit after
+  /// our restart was re-accepted into a second block while the WAL'd
+  /// proposal still held the tx (double delivery). The restored entry sits
+  /// in the in-flight set with an empty origin — the pre-crash session is
+  /// gone, so the eventual commit ack is unroutable; the resubmitting client
+  /// observes kDuplicatePending now and kDuplicateCommitted once the
+  /// replayed proposal delivers. No-op if the digest is already pending,
+  /// in-flight, or recently committed.
+  void restore_in_flight(const crypto::Digest& digest);
 
   bool recently_committed(const crypto::Digest& digest) const;
   /// True while the digest is pending or in-flight.
@@ -149,6 +160,15 @@ class ShardedMempool {
     TxOrigin origin;
   };
 
+  /// Counter deltas of a run of commits, applied to the atomics once.
+  struct CommitTally {
+    std::size_t from_in_flight = 0;
+    std::size_t from_pending = 0;
+    std::uint64_t with_origin = 0;
+    std::uint64_t foreign = 0;
+    std::uint64_t evictions = 0;
+  };
+
   struct Shard {
     mutable std::mutex mu;
     /// FIFO of pending digests; entries whose digest left `pending` (e.g.
@@ -159,6 +179,13 @@ class ShardedMempool {
     std::unordered_set<crypto::Digest, DigestHash> committed;
     std::deque<crypto::Digest> committed_ring;  ///< eviction order
   };
+
+  /// One digest's commit under its shard's lock; returns the origin when it
+  /// owns a session.
+  std::optional<TxOrigin> commit_locked(Shard& shard,
+                                        const crypto::Digest& digest,
+                                        CommitTally& tally);
+  void apply(const CommitTally& tally);
 
   MempoolOptions opts_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -108,20 +108,28 @@ void IngressServer::stop() {
   wake_.close_pipe();
 }
 
-void IngressServer::complete(const TxOrigin& origin) {
+void IngressServer::complete(std::span<const TxOrigin> origins) {
+  if (origins.empty()) return;
   const std::uint64_t now = now_us();
-  const std::uint64_t latency =
-      now > origin.submit_us ? now - origin.submit_us : 0;
-  ack_latency_.record(latency);
-  acks_enqueued_.fetch_add(1, std::memory_order_relaxed);
+  const auto latency = [now](const TxOrigin& o) {
+    return now > o.submit_us ? now - o.submit_us : 0;
+  };
+  for (const TxOrigin& o : origins) ack_latency_.record(latency(o));
+  acks_enqueued_.fetch_add(origins.size(), std::memory_order_relaxed);
   if (!running_.load(std::memory_order_acquire)) return;
+  bool was_empty = false;
   {
     std::lock_guard<std::mutex> lk(acks_mu_);
-    pending_acks_.push_back(
-        AckEntry{origin.client_id, origin.tx_id, latency});
-    pending_ack_sessions_.push_back(origin.session_id);
+    was_empty = pending_acks_.empty();
+    for (const TxOrigin& o : origins) {
+      pending_acks_.push_back(AckEntry{o.client_id, o.tx_id, latency(o)});
+      pending_ack_sessions_.push_back(o.session_id);
+    }
   }
-  wake_.signal();
+  // A non-empty queue already has a wake pending: the I/O thread drains the
+  // pipe before it swaps the queue, so the write that made the queue
+  // non-empty is consumed only by a drain that a swap follows.
+  if (was_empty) wake_.signal();
 }
 
 void IngressServer::io_loop() {

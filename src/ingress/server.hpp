@@ -6,10 +6,13 @@
 // a_deliver path back to the owning session.
 //
 // Threading contract: the I/O thread is the only toucher of sockets and
-// session state. The node thread calls complete() — which only appends to a
-// mutex-guarded ack queue and pokes the wake pipe — and any thread may read
-// counters(). Per-session output queues are bounded; a slow client loses
-// acks (counted), never stalls the server.
+// session state. The node thread hands over each delivered block's acks in
+// one complete() call: one lock of the ack queue, and one wake-pipe write
+// only when that queue goes from empty to non-empty (the I/O thread drains
+// the pipe before it swaps the queue out, so a non-empty queue always has a
+// wake pending or a swap coming). Any thread may read counters().
+// Per-session output queues are bounded; a slow client loses acks
+// (counted), never stalls the server.
 #pragma once
 
 #include <atomic>
@@ -17,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -88,10 +92,12 @@ class IngressServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
   std::uint16_t port() const { return port_; }
 
-  /// Node thread, a_deliver path: queue a commit ack for the session that
-  /// submitted `origin` and record the submit->deliver latency (both ends
-  /// stamped on this server's own clock). Safe to call when stopped.
-  void complete(const TxOrigin& origin);
+  /// Node thread, a_deliver path: queue a commit ack for each origin (one
+  /// delivered block's worth, in block order) to the session that submitted
+  /// it, and record the submit->deliver latencies (both ends stamped on this
+  /// server's own clock). Safe to call when stopped.
+  void complete(std::span<const TxOrigin> origins);
+  void complete(const TxOrigin& origin) { complete({&origin, 1}); }
 
   /// Monotonic microseconds on the clock submit_us is stamped with.
   static std::uint64_t now_us();
@@ -129,7 +135,8 @@ class IngressServer {
   std::size_t live_sessions_ = 0;
   std::uint64_t next_session_id_ = 1;
 
-  /// complete() -> I/O thread handoff.
+  /// complete() -> I/O thread handoff; the wake pipe is written only on the
+  /// queue's empty -> non-empty edge.
   std::mutex acks_mu_;
   std::vector<AckEntry> pending_acks_;
   std::vector<std::uint64_t> pending_ack_sessions_;

@@ -7,6 +7,24 @@
 
 namespace dr::node {
 
+namespace {
+
+/// The tx digests of a block, walked in place, into `out` (reused across
+/// blocks). False when the block is not a tx block (e.g. a synthetic
+/// auto-block), which carries no client txs.
+bool block_tx_digests(BytesView block, std::vector<crypto::Digest>& out) {
+  const auto txs = txpool::BlockTxs::parse(block);
+  if (!txs) return false;
+  out.clear();
+  out.reserve(txs.value().size());
+  for (const txpool::TxView& tx : txs.value()) {
+    out.push_back(ingress::tx_digest(tx.id, tx.payload));
+  }
+  return true;
+}
+
+}  // namespace
+
 Node::Node(std::unique_ptr<net::Transport> transport,
            const coin::CoinDealer* dealer, NodeOptions opts)
     : opts_(opts),
@@ -76,15 +94,14 @@ Node::Node(std::unique_ptr<net::Transport> transport,
           core::DeliveredRecord{block_digest, block.size(), r, src, t});
     }
     delivered_count_.fetch_add(1, std::memory_order_release);
-    if (auto txs = txpool::decode_block(BytesView(block))) {
-      // Commit path of the ingress tier (DESIGN.md §13): every delivered tx
-      // enters the recently-committed dedup window, and the ones whose
-      // submitting session lives on this node get their ack routed back.
-      for (const txpool::Transaction& tx : txs.value()) {
-        if (auto origin = mempool_.mark_committed(ingress::tx_digest(tx))) {
-          if (ingress_) ingress_->complete(*origin);
-        }
-      }
+    // Commit path of the ingress tier (DESIGN.md §13), one batch per block:
+    // every delivered tx enters the recently-committed dedup window, and
+    // the ones whose submitting session lives on this node get their acks
+    // routed back.
+    if (block_tx_digests(BytesView(block), deliver_digests_)) {
+      const std::vector<ingress::TxOrigin> owned =
+          mempool_.mark_committed(deliver_digests_);
+      if (ingress_ && !owned.empty()) ingress_->complete(owned);
     }
     if (app_deliver_) app_deliver_(block, r, src, t);
   });
@@ -239,9 +256,9 @@ void Node::recover_from_store() {
       if (delivered_own.count(r.round) != 0) continue;
       const auto vx = dag::Vertex::deserialize(BytesView(r.payload));
       if (!vx.ok()) continue;
-      if (auto txs = txpool::decode_block(BytesView(vx.value().block))) {
-        for (const txpool::Transaction& tx : txs.value()) {
-          mempool_.restore_in_flight(tx);
+      if (block_tx_digests(BytesView(vx.value().block), deliver_digests_)) {
+        for (const crypto::Digest& d : deliver_digests_) {
+          mempool_.restore_in_flight(d);
         }
       }
     }
@@ -366,6 +383,7 @@ metrics::Counters Node::counters() const {
     out.emplace_back("store.recovered_truncated_bytes",
                      s.recovered_truncated_bytes);
     out.emplace_back("store.snapshot_loaded", s.snapshot_loaded ? 1 : 0);
+    out.emplace_back("store.pending_proposals", store_->pending_proposals());
   }
   const ingress::MempoolStats m = mempool_.stats();
   out.emplace_back("mempool.accepted", m.accepted);

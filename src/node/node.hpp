@@ -259,6 +259,8 @@ class Node {
 
   ingress::ShardedMempool mempool_;
   std::unique_ptr<ingress::IngressServer> ingress_;
+  /// Tx digests of the block being delivered (node thread only; reused).
+  std::vector<crypto::Digest> deliver_digests_;
 
   mutable std::mutex log_mu_;
   std::vector<core::DeliveredRecord> delivered_;

@@ -106,6 +106,9 @@ RecoverResult VertexStore::recover() {
   while (auto rec = decoder.next()) {
     if (rec->type == WalRecordType::kVertex) {
       ++stats_.recovered_vertices;
+      // The own vertex is in the WAL (and in every compaction's DAG
+      // rewrite), so its proposal needs no mirror.
+      if (rec->source == pid_) pending_proposals_.erase(rec->round);
     } else {
       ++stats_.recovered_proposals;
       pending_proposals_[rec->round] = rec->payload;
@@ -161,6 +164,8 @@ void VertexStore::append_vertex(const dag::Vertex& v) {
   rec.payload = v.wire_payload().to_bytes();
   append_record(rec);
   ++stats_.vertices_appended;
+  // Own proposal delivered: from here compaction rewrites it from the DAG.
+  if (v.source == pid_) pending_proposals_.erase(v.round);
 }
 
 void VertexStore::append_proposal(Round r, BytesView payload) {

@@ -85,6 +85,9 @@ class VertexStore {
   void compact(const Snapshot& snap, const dag::Dag& dag);
 
   const StoreStats& stats() const { return stats_; }
+  /// Own proposals mirrored in memory: those whose vertex is not yet in the
+  /// WAL. Bounded by the proposals in flight, not by history.
+  std::size_t pending_proposals() const { return pending_proposals_.size(); }
   std::string wal_path() const;
   std::string snapshot_path() const;
 
@@ -96,8 +99,9 @@ class VertexStore {
   ProcessId pid_;
   StoreOptions opts_;
   std::FILE* wal_ = nullptr;
-  /// Own proposals not yet superseded by compaction — the in-memory mirror
-  /// of the kProposal records that must survive a WAL rewrite.
+  /// Own proposals whose vertex record is not yet in the WAL — the
+  /// in-memory mirror of the kProposal records that must survive a WAL
+  /// rewrite. An entry goes when the own vertex is appended or read back.
   std::map<Round, Bytes> pending_proposals_;
   StoreStats stats_;
   bool recovered_ = false;

@@ -16,26 +16,42 @@ Bytes encode_block(const std::vector<Transaction>& txs) {
   return std::move(w).take();
 }
 
-Expected<std::vector<Transaction>> decode_block(BytesView block) {
+Expected<BlockTxs> BlockTxs::parse(BytesView block) {
   ByteReader in(block);
   if (in.u32() != kBlockMagic) {
-    return Expected<std::vector<Transaction>>::failure("not a tx block");
+    return Expected<BlockTxs>::failure("not a tx block");
   }
   const std::uint32_t count = in.u32();
   if (!in.ok() || count > 1u << 22) {
-    return Expected<std::vector<Transaction>>::failure("absurd tx count");
+    return Expected<BlockTxs>::failure("absurd tx count");
   }
-  std::vector<Transaction> txs;
-  txs.reserve(count);
+  const BytesView txs = block.subspan(8);
+  std::size_t pos = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
-    Transaction tx;
-    if (!Transaction::deserialize_from(in, tx)) {
-      return Expected<std::vector<Transaction>>::failure("truncated tx");
+    if (txs.size() - pos < kTxHeaderBytes) {
+      return Expected<BlockTxs>::failure("truncated tx");
     }
-    txs.push_back(std::move(tx));
+    const std::size_t len = load_le<std::uint32_t>(txs.data() + pos + 16);
+    pos += kTxHeaderBytes;
+    if (txs.size() - pos < len) {
+      return Expected<BlockTxs>::failure("truncated tx");
+    }
+    pos += len;
   }
-  if (!in.done()) {
-    return Expected<std::vector<Transaction>>::failure("trailing bytes");
+  if (pos != txs.size()) {
+    return Expected<BlockTxs>::failure("trailing bytes");
+  }
+  return BlockTxs(txs, count);
+}
+
+Expected<std::vector<Transaction>> decode_block(BytesView block) {
+  auto walk = BlockTxs::parse(block);
+  if (!walk) return Expected<std::vector<Transaction>>::failure(walk.error());
+  std::vector<Transaction> txs;
+  txs.reserve(walk.value().size());
+  for (const TxView& tx : walk.value()) {
+    txs.push_back(Transaction{tx.id, tx.submit_time,
+                              Bytes(tx.payload.begin(), tx.payload.end())});
   }
   return txs;
 }

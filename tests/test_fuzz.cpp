@@ -4,6 +4,8 @@
 // garbage (a Byzantine process can always spray junk).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/bba/binary_agreement.hpp"
 #include "baselines/vaba/vaba.hpp"
 #include "coin/dealer.hpp"
@@ -13,6 +15,7 @@
 #include "dag/vertex.hpp"
 #include "net/frame.hpp"
 #include "txpool/mempool.hpp"
+#include "txpool/transaction.hpp"
 #include "sim/network.hpp"
 
 namespace dr {
@@ -105,13 +108,74 @@ TEST(Fuzz, MerkleProofDeserializerNeverCrashes) {
   SUCCEED();
 }
 
+/// The in-place walk and the copying decoder are one parser: the walk
+/// accepts exactly the blocks decode_block accepts and yields the same txs.
+/// Returns whether the block parsed.
+bool expect_walk_matches_decode(BytesView block) {
+  const auto walk = txpool::BlockTxs::parse(block);
+  const auto decoded = txpool::decode_block(block);
+  EXPECT_EQ(walk.ok(), decoded.ok());
+  if (!walk.ok() || !decoded.ok()) return false;
+  const std::vector<txpool::Transaction>& txs = decoded.value();
+  EXPECT_EQ(walk.value().size(), txs.size());
+  std::size_t i = 0;
+  for (const txpool::TxView& tx : walk.value()) {
+    if (i >= txs.size()) break;
+    EXPECT_EQ(tx.id, txs[i].id);
+    EXPECT_EQ(tx.submit_time, txs[i].submit_time);
+    EXPECT_TRUE(std::equal(tx.payload.begin(), tx.payload.end(),
+                           txs[i].payload.begin(), txs[i].payload.end()));
+    // The view aliases the block bytes rather than a copy.
+    EXPECT_TRUE(tx.payload.empty() ||
+                (tx.payload.data() >= block.data() &&
+                 tx.payload.data() + tx.payload.size() <=
+                     block.data() + block.size()));
+    ++i;
+  }
+  EXPECT_EQ(i, txs.size());
+  return true;
+}
+
+Bytes random_tx_block(Xoshiro256& rng) {
+  std::vector<txpool::Transaction> txs(rng.below(6));
+  for (auto& tx : txs) {
+    tx.id = rng();
+    tx.submit_time = rng();
+    tx.payload = random_bytes(rng, 40);
+  }
+  return txpool::encode_block(txs);
+}
+
 TEST(Fuzz, TxBlockDecoderNeverCrashes) {
   Xoshiro256 rng(4);
+  int parsed = 0;
   for (int i = 0; i < 20'000; ++i) {
     const Bytes junk = random_bytes(rng, 300);
-    (void)txpool::decode_block(junk);
+    parsed += expect_walk_matches_decode(junk) ? 1 : 0;
+    // Junk behind a real header, so the tx framing itself gets exercised.
+    Bytes framed = txpool::encode_block({});
+    framed[4] = static_cast<std::uint8_t>(rng.below(4));
+    framed.insert(framed.end(), junk.begin(), junk.begin() +
+                  static_cast<std::ptrdiff_t>(rng.below(junk.size() + 1)));
+    parsed += expect_walk_matches_decode(framed) ? 1 : 0;
   }
-  SUCCEED();
+  for (int i = 0; i < 100; ++i) {
+    const Bytes block = random_tx_block(rng);
+    ASSERT_TRUE(expect_walk_matches_decode(block));
+    for (std::size_t len = 0; len < block.size(); ++len) {
+      EXPECT_FALSE(expect_walk_matches_decode(BytesView(block.data(), len)));
+    }
+    Bytes trailing = block;
+    trailing.push_back(0);
+    EXPECT_FALSE(expect_walk_matches_decode(trailing));
+    for (std::size_t bit = 0; bit < block.size() * 8; ++bit) {
+      Bytes mutated = block;
+      mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      parsed += expect_walk_matches_decode(mutated) ? 1 : 0;
+    }
+  }
+  // Flips inside ids, timestamps and payloads still parse.
+  EXPECT_GT(parsed, 0);
 }
 
 /// Sprays random bytes at every protocol channel of a live DAG-Rider

@@ -11,8 +11,11 @@
 #include <filesystem>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 
+#include "common/rng.hpp"
 #include "core/audit.hpp"
+#include "crypto/sha256.hpp"
 #include "ingress/client.hpp"
 #include "ingress/loadgen.hpp"
 #include "ingress/mempool.hpp"
@@ -69,6 +72,49 @@ TEST(TxDigest, SensitiveToIdAndPayload) {
   txpool::Transaction other_payload = make_tx(7, 1, 0xcd);
   EXPECT_NE(tx_digest(base), tx_digest(other_id));
   EXPECT_NE(tx_digest(base), tx_digest(other_payload));
+}
+
+// The digest is the replay-stable tx identity dedup keys on across nodes
+// and restarts: the streaming form over a block's in-place view must equal
+// the Transaction form and the documented sha256(le64(id) || payload).
+TEST(TxDigest, StreamingFormIsBitIdentical) {
+  Bytes payload(40);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i);
+  }
+  txpool::Transaction tx;
+  tx.id = 0x0123456789abcdefull;
+  tx.submit_time = 42;
+  tx.payload = payload;
+  const crypto::Digest d = tx_digest(tx.id, BytesView(payload));
+  EXPECT_EQ(d, tx_digest(tx));
+  EXPECT_EQ(to_hex(BytesView(d)),
+            "30305052f2701329c4ea240213a40c65e00bb27985f5fc7a5ca47232990af2f6");
+  EXPECT_EQ(to_hex(BytesView(tx_digest(7, BytesView()))),
+            "aae89fc0f03e2959ae4d701a80cc3915918c950b159f6abb6c92c1433b1a8534");
+
+  Xoshiro256 rng(11);
+  for (int i = 0; i < 500; ++i) {
+    txpool::Transaction r;
+    r.id = rng();
+    r.payload.resize(rng.below(300));
+    for (auto& b : r.payload) b = static_cast<std::uint8_t>(rng());
+    ByteWriter w;
+    w.u64(r.id);
+    w.raw(r.payload);
+    const crypto::Digest want = crypto::sha256(BytesView(w.bytes()));
+    EXPECT_EQ(tx_digest(r), want);
+    EXPECT_EQ(tx_digest(r.id, BytesView(r.payload)), want);
+  }
+  // Through a block: the in-place view hashes like the decoded copy.
+  const Bytes block = txpool::encode_block({tx, make_tx(3, 4)});
+  const auto walk = txpool::BlockTxs::parse(BytesView(block));
+  ASSERT_TRUE(walk.ok());
+  const auto decoded = txpool::decode_block(BytesView(block)).value();
+  std::size_t i = 0;
+  for (const txpool::TxView& v : walk.value()) {
+    EXPECT_EQ(tx_digest(v.id, v.payload), tx_digest(decoded[i++]));
+  }
 }
 
 TEST(TxDigest, ComposeTxIdIsDeterministicAndSpreads) {
@@ -300,6 +346,103 @@ TEST(ShardedMempool, DrainIsRoundRobinAndBounded) {
   EXPECT_EQ(pool.in_flight(), 100u);
 }
 
+void expect_same_state(const ShardedMempool& a, const ShardedMempool& b,
+                       const std::vector<crypto::Digest>& universe) {
+  const MempoolStats sa = a.stats();
+  const MempoolStats sb = b.stats();
+  EXPECT_EQ(sa.accepted, sb.accepted);
+  EXPECT_EQ(sa.rejected_busy, sb.rejected_busy);
+  EXPECT_EQ(sa.rejected_dup_pending, sb.rejected_dup_pending);
+  EXPECT_EQ(sa.rejected_dup_committed, sb.rejected_dup_committed);
+  EXPECT_EQ(sa.rejected_overflow, sb.rejected_overflow);
+  EXPECT_EQ(sa.rejected_too_large, sb.rejected_too_large);
+  EXPECT_EQ(sa.drained, sb.drained);
+  EXPECT_EQ(sa.committed_with_origin, sb.committed_with_origin);
+  EXPECT_EQ(sa.committed_foreign, sb.committed_foreign);
+  EXPECT_EQ(sa.window_evictions, sb.window_evictions);
+  EXPECT_EQ(sa.restored_in_flight, sb.restored_in_flight);
+  EXPECT_EQ(a.pending(), b.pending());
+  EXPECT_EQ(a.in_flight(), b.in_flight());
+  for (const crypto::Digest& d : universe) {
+    EXPECT_EQ(a.recently_committed(d), b.recently_committed(d));
+    EXPECT_EQ(a.knows(d), b.knows(d));
+  }
+}
+
+// The a_deliver hook marks a whole block under one lock per shard; that must
+// be indistinguishable from marking its digests one at a time in block
+// order — same returned origins in the same order, same end state.
+TEST(ShardedMempool, BatchMarkingEqualsPerDigestMarking) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    MempoolOptions opts;
+    opts.shards = static_cast<std::uint32_t>(1 + seed % 5);
+    opts.committed_window = 24;  // small: commits evict from the window
+    ShardedMempool batch(opts);
+    ShardedMempool single(opts);
+
+    std::vector<txpool::Transaction> universe_txs;
+    std::vector<crypto::Digest> universe;
+    for (std::uint64_t c = 1; c <= 3; ++c) {
+      for (std::uint64_t t = 0; t < 40; ++t) {
+        universe_txs.push_back(make_tx(c, t));
+        universe.push_back(tx_digest(universe_txs.back()));
+      }
+    }
+    Xoshiro256 rng(seed);
+    std::uint64_t owned_acks = 0, foreign_pending_commits = 0;
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t op = rng.below(10);
+      if (op < 4) {  // submit, from one of a few sessions or internally
+        const std::size_t k = rng.below(universe_txs.size());
+        const txpool::Transaction& tx = universe_txs[k];
+        const TxOrigin origin{rng.below(3), k / 40 + 1, k % 40,
+                              static_cast<std::uint64_t>(step)};
+        ASSERT_EQ(batch.submit(tx, origin), single.submit(tx, origin));
+      } else if (op < 6) {  // drain a proposal
+        const std::size_t max = 1 + rng.below(8);
+        const auto da = batch.drain(max);
+        const auto db = single.drain(max);
+        ASSERT_EQ(da.size(), db.size());
+        for (std::size_t i = 0; i < da.size(); ++i) {
+          ASSERT_EQ(da[i].id, db[i].id);
+        }
+      } else if (op < 7) {  // recovery seeding from a restored proposal
+        const crypto::Digest& d = universe[rng.below(universe.size())];
+        batch.restore_in_flight(d);
+        single.restore_in_flight(d);
+      } else {  // a delivered block, duplicates and unknown txs included
+        std::vector<crypto::Digest> block(rng.below(16));
+        for (auto& d : block) d = universe[rng.below(universe.size())];
+        if (!block.empty() && rng.below(3) == 0) block.push_back(block[0]);
+        const std::size_t pending_before = batch.pending();
+        const std::vector<TxOrigin> got = batch.mark_committed(block);
+        std::vector<TxOrigin> want;
+        for (const crypto::Digest& d : block) {
+          if (auto o = single.mark_committed(d)) want.push_back(*o);
+        }
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].session_id, want[i].session_id);
+          EXPECT_EQ(got[i].client_id, want[i].client_id);
+          EXPECT_EQ(got[i].tx_id, want[i].tx_id);
+          EXPECT_EQ(got[i].submit_us, want[i].submit_us);
+        }
+        owned_acks += got.size();
+        if (batch.pending() < pending_before) ++foreign_pending_commits;
+      }
+      expect_same_state(batch, single, universe);
+    }
+    // The sequence reached every path the hook can take.
+    const MempoolStats s = batch.stats();
+    EXPECT_GT(owned_acks, 0u);
+    EXPECT_GT(foreign_pending_commits, 0u);
+    EXPECT_GT(s.window_evictions, 0u);
+    EXPECT_GT(s.restored_in_flight, 0u);
+    EXPECT_GT(s.committed_foreign, 0u);
+  }
+}
+
 // --- server + client end to end (standalone, no consensus) ---
 
 TEST(IngressServer, SubmitReplyAndCommitAckRoundTrip) {
@@ -346,6 +489,76 @@ TEST(IngressServer, SubmitReplyAndCommitAckRoundTrip) {
   }
   pump_until(client, [&] { return acks == 8; }, std::chrono::seconds(5));
   EXPECT_GT(server.ack_latency().total(), 0u);
+
+  client.close();
+  server.stop();
+}
+
+// complete() writes the wake pipe only when the ack queue goes from empty to
+// non-empty. With a poll interval far beyond the deadline, any missed wake
+// leaves acks queued and fails the test at the deadline rather than letting
+// it pass on the next poll timeout.
+TEST(IngressServer, BatchedAckWakeupIsNeverLost) {
+  ShardedMempool pool;
+  ServerOptions opts;
+  opts.poll_interval_ms = 600'000;
+  opts.max_out_frames = 1 << 16;  // no droppable-ack overflow in this test
+  IngressServer server(pool, opts);
+  ASSERT_TRUE(server.start());
+  Client client(Client::Options{"127.0.0.1", server.port(), 256});
+  ASSERT_TRUE(client.connect(2'000));
+  const std::uint64_t session = client.session_id();
+
+  std::unordered_set<std::uint64_t> acked;
+  std::uint64_t duplicates = 0;
+  client.on_ack = [&](std::uint64_t, std::uint64_t tx_id, std::uint64_t) {
+    if (!acked.insert(tx_id).second) ++duplicates;
+  };
+  auto block_of = [session](std::uint64_t first, std::uint64_t count) {
+    std::vector<TxOrigin> block;
+    for (std::uint64_t t = first; t < first + count; ++t) {
+      block.push_back(TxOrigin{session, 9, t, IngressServer::now_us()});
+    }
+    return block;
+  };
+  auto pump_for = [&](std::uint64_t want) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (acked.size() < want && std::chrono::steady_clock::now() < deadline) {
+      client.process(5);
+    }
+  };
+
+  // Each block lands on an empty queue: every one depends on its own wake.
+  std::uint64_t next = 0;
+  for (int b = 0; b < 50; ++b) {
+    server.complete(block_of(next, 1 + static_cast<std::uint64_t>(b % 7)));
+    next += 1 + static_cast<std::uint64_t>(b % 7);
+    pump_for(next);
+    ASSERT_EQ(acked.size(), next) << "acks of block " << b << " never woke";
+  }
+
+  // Blocks back to back from another thread while the I/O thread swaps the
+  // queue out and flushes: pushes race the drain-then-swap sequence.
+  constexpr std::uint64_t kBlocks = 400, kPerBlock = 33;
+  const std::uint64_t base = next;
+  std::thread node_thread([&] {
+    for (std::uint64_t b = 0; b < kBlocks; ++b) {
+      server.complete(block_of(base + b * kPerBlock, kPerBlock));
+      if (b % 8 == 0) std::this_thread::yield();
+    }
+  });
+  pump_for(base + kBlocks * kPerBlock);
+  node_thread.join();
+  pump_for(base + kBlocks * kPerBlock);  // the thread may finish after us
+  EXPECT_EQ(acked.size(), base + kBlocks * kPerBlock);
+  EXPECT_EQ(duplicates, 0u);
+  const metrics::Counters c = server.counters();
+  for (const auto& [name, value] : c) {
+    if (name == "acks_dropped" || name == "acks_orphaned") {
+      EXPECT_EQ(value, 0u) << name;
+    }
+  }
 
   client.close();
   server.stop();

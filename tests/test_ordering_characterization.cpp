@@ -77,12 +77,15 @@ class ScriptedRun {
   void begin() { builder_->begin_restore(0); }
 
   /// Adds one vertex (source, round) with the given strong edges into
-  /// round-1. The block is a distinct 2-byte tag so digests differ.
-  void add(ProcessId source, Round round, std::vector<ProcessId> strong) {
+  /// round-1 (and optional weak edges further down). The block is a
+  /// distinct 2-byte tag so digests differ.
+  void add(ProcessId source, Round round, std::vector<ProcessId> strong,
+           std::vector<dag::VertexId> weak = {}) {
     dag::Vertex v;
     v.block = Bytes{static_cast<std::uint8_t>(source),
                     static_cast<std::uint8_t>(round)};
     v.strong_edges = std::move(strong);
+    v.weak_edges = std::move(weak);
     builder_->restore_deliver(source, round, net::Payload(v.serialize()));
   }
 
@@ -258,6 +261,44 @@ TEST(OrderingCharacterization, GcFloorFollowsDecidedWaves) {
   // full rounds plus their leader minus the prior leader — 28 each.
   EXPECT_EQ(run.rider().delivered_count(), 1u + 28u + 28u);
   EXPECT_FALSE(run.duplicate_delivery());
+}
+
+// A node may hold its DAG's GC floor below the rider's depth-based floor
+// while a lagging peer still needs that history (the laggard-aware cap).
+// What it orders must not depend on that node-local choice: a weak edge
+// into the held region must neither re-deliver vertices the rider already
+// delivered and pruned from its set, nor deliver ones a non-holding node
+// has compacted away.
+TEST(OrderingCharacterization, HeldGcFloorOrdersLikeCompactedOne) {
+  const auto scenario = [](bool hold) {
+    auto run = std::make_unique<ScriptedRun>(
+        kC7, std::map<Wave, ProcessId>{{1, 0}, {2, 1}, {3, 2}, {4, 3}});
+    run->rider().enable_gc(2);
+    if (hold) run->builder().set_gc_floor_cap(1);
+    run->begin();
+    run->add_round(1, all7(), genesis5());
+    for (Round r = 2; r <= 7; ++r) run->add_round(r, all7(), all7());
+    // Nothing strongly references (6,7): it stays out of wave 3's history.
+    run->add_round(8, all7(), {0, 1, 2, 3, 4, 5});
+    for (Round r = 9; r <= 12; ++r) run->add_round(r, all7(), all7());
+    // Wave 4's leader weak-edges to it, and through it to round 6, which
+    // wave 3 delivered and the rider's floor (9 - 2 = 7) already passed.
+    run->add(3, 13, all7(), {dag::VertexId{6, 7}});
+    run->add_round(13, {0, 1, 2, 4, 5, 6}, all7());
+    for (Round r = 14; r <= 16; ++r) run->add_round(r, all7(), all7());
+    run->finish();
+    return run;
+  };
+  const auto compacted = scenario(false);
+  const auto held = scenario(true);
+  ASSERT_EQ(compacted->rider().decided_wave(), 4u);
+  ASSERT_EQ(held->rider().decided_wave(), 4u);
+  EXPECT_LT(held->builder().dag().compacted_floor(),
+            compacted->builder().dag().compacted_floor());
+  EXPECT_FALSE(compacted->duplicate_delivery());
+  EXPECT_FALSE(held->duplicate_delivery());
+  EXPECT_TRUE(held->was_delivered(dag::VertexId{6, 7}));
+  EXPECT_EQ(held->delivered(), compacted->delivered());
 }
 
 TEST(OrderingCharacterization, RestoredDecidedWaveSuppressesReplay) {

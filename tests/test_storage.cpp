@@ -316,6 +316,47 @@ TEST(VertexStore, CompactWritesSnapshotAndPrunesWal) {
   EXPECT_TRUE(saw_proposal) << "pending own proposal lost by compaction";
 }
 
+// Without GC, compaction never runs, so the in-memory mirror of own
+// proposals must shrink as their vertices are logged — not only when a
+// compaction prunes it — or it holds a copy of every proposal forever.
+TEST(VertexStore, ProposalMirrorStaysBoundedWithoutCompaction) {
+  const Committee c = committee4();
+  const std::string dir = fresh_dir("dr_store_mirror");
+  {
+    VertexStore store(c, 0, StoreOptions{dir, false});
+    (void)store.recover();
+    for (Round r = 1; r <= 500; ++r) {
+      store.append_proposal(r, BytesView(sample_payload(0x40)));
+      for (ProcessId p = 0; p < c.n; ++p) {
+        store.append_vertex(make_vertex(c, p, r, static_cast<std::uint8_t>(r)));
+      }
+      ASSERT_EQ(store.pending_proposals(), 0u) << "round " << r;
+    }
+    // Proposed but never delivered before the crash: this one stays.
+    store.append_proposal(501, BytesView(sample_payload(0x41)));
+    EXPECT_EQ(store.pending_proposals(), 1u);
+  }
+  // Recovery reads the own vertices back and mirrors only the undelivered
+  // proposal, which a later compaction must still carry.
+  VertexStore store(c, 0, StoreOptions{dir, false});
+  const RecoverResult rec = store.recover();
+  EXPECT_TRUE(rec.wal_clean) << rec.wal_error;
+  EXPECT_EQ(store.stats().recovered_proposals, 501u);
+  EXPECT_EQ(store.pending_proposals(), 1u);
+  dag::Dag dag(c);
+  Snapshot snap;
+  snap.committee = c;
+  snap.pid = 0;
+  snap.gc_floor = 1;
+  store.compact(snap, dag);
+  VertexStore reopened(c, 0, StoreOptions{dir, false});
+  const RecoverResult after = reopened.recover();
+  ASSERT_EQ(after.records.size(), 1u);
+  EXPECT_EQ(static_cast<int>(after.records[0].type),
+            static_cast<int>(WalRecordType::kProposal));
+  EXPECT_EQ(after.records[0].round, 501u);
+}
+
 TEST(VertexStore, ForeignSnapshotResetsStorage) {
   const Committee c = committee4();
   const std::string dir = fresh_dir("dr_store_foreign");
@@ -548,6 +589,31 @@ TEST(StorageRecovery, KilledNodeRejoinsViaWalAndCatchup) {
   EXPECT_GT(counter_value(counters, "catchup.vertices_accepted"), 0u)
       << "restart did not use catch-up sync for the missed window";
   EXPECT_GT(counter_value(counters, "store.recovered_vertices"), 0u);
+}
+
+// The live form of the mirror bound: a WAL-backed cluster with GC off runs
+// many rounds, and each node mirrors only the proposals still in flight
+// (a few, however slow the build) instead of one per round of history.
+TEST(StorageRecovery, ProposalMirrorStaysBoundedWithoutGc) {
+  const Committee committee = Committee::for_f(1);
+  const std::string base = storage::fresh_dir("dr_cluster_mirror");
+  NodeOptions opts;
+  opts.seed = 27;
+  opts.wal_dir = base;
+  ASSERT_EQ(opts.gc_depth_rounds, 0u);
+  Cluster cluster(committee, opts);
+  cluster.start();
+  ASSERT_TRUE(cluster.wait_all_delivered(committee.n * 100ull,
+                                         std::chrono::minutes(2)));
+  cluster.stop();
+  for (ProcessId p = 0; p < committee.n; ++p) {
+    const metrics::Counters counters = cluster.node(p).counters();
+    const std::uint64_t appended =
+        counter_value(counters, "store.proposals_appended");
+    EXPECT_GE(appended, 60u);
+    EXPECT_LE(counter_value(counters, "store.pending_proposals") * 4, appended)
+        << "node " << p;
+  }
 }
 
 // Full power-cycle with GC + compaction: a second cluster over the same data
